@@ -143,10 +143,11 @@ const (
 )
 
 type podHandle struct {
-	id       int
-	pod      *kube.Pod
-	state    podState
-	gate     *sim.Semaphore
+	id    int
+	pod   *kube.Pod
+	state podState
+	// inFlight counts the requests holding one of the replica's slots; the
+	// queue-proxy admits at most the service's slots() at a time.
 	inFlight int
 }
 
@@ -158,8 +159,7 @@ type Service struct {
 
 	pods     []*podHandle
 	nextPod  int
-	route    sched.Policy // replica-routing policy built from spec.Routing
-	rr       int          // round-robin offset for tie-breaking
+	rr       int // round-robin offset for tie-breaking
 	inFlight int
 
 	readySig *sim.Signal
@@ -256,7 +256,6 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 		return nil, fmt.Errorf("knative: deploy %s: %w", spec.Name, err)
 	}
 	svc := &Service{kn: kn, spec: spec, ascfg: ascfg, readySig: sim.NewSignal(kn.env)}
-	svc.route = svc.routePolicy()
 	svc.breaker = resilience.NewBreaker(resilience.BreakerPolicy{
 		Failures:       kn.prm.BreakerFailures,
 		OpenFor:        kn.prm.BreakerOpenFor,
@@ -377,13 +376,9 @@ func (s *Service) InFlight() int { return s.inFlight }
 
 // addPod creates one replica and watches it to readiness.
 func (s *Service) addPod() *podHandle {
-	cc := s.spec.ContainerConcurrency
-	if cc <= 0 {
-		cc = 1 << 20
-	}
 	name := fmt.Sprintf("%s-%05d", s.spec.Name, s.nextPod)
 	s.nextPod++
-	h := &podHandle{id: s.nextPod, gate: sim.NewSemaphore(s.kn.env, cc)}
+	h := &podHandle{id: s.nextPod}
 	pod, err := s.kn.k.CreatePod(kube.PodSpec{
 		Name:       name,
 		Image:      s.spec.Image,
@@ -527,6 +522,9 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	s.inFlight++
 	defer func() { s.inFlight-- }()
 
+	// The wait predicates capture the deadline alone: capturing req would
+	// move the whole request to the heap.
+	deadline := req.Deadline
 	cold := false
 	if s.ReadyPods() == 0 {
 		// Activator path: ensure a replica is coming and buffer.
@@ -536,21 +534,24 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 		if s.StartingPods() == 0 {
 			s.scaleTo(1)
 		}
-		for s.ReadyPods() == 0 {
+		// Buffer until a replica is ready, the service stops, or the
+		// request's deadline passes.
+		warm := func() bool {
+			return s.ReadyPods() > 0 || s.stopped || resilience.Expired(deadline, p.Now())
+		}
+		if !warm() {
+			s.readySig.Wait(p, warm)
+		}
+		cs.End()
+		if s.ReadyPods() == 0 {
 			if s.stopped {
-				cs.End()
 				sp.SetLabel("status", "failed")
 				return Response{}, fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false
 			}
-			if resilience.Expired(req.Deadline, p.Now()) {
-				cs.End()
-				s.DeadlineDrops++
-				sp.SetLabel("status", "deadline")
-				return Response{}, fmt.Errorf("knative: service %s: %w during cold start", s.spec.Name, resilience.ErrDeadlineExceeded), false
-			}
-			s.readySig.Wait(p)
+			s.DeadlineDrops++
+			sp.SetLabel("status", "deadline")
+			return Response{}, fmt.Errorf("knative: service %s: %w during cold start", s.spec.Name, resilience.ErrDeadlineExceeded), false
 		}
-		cs.End()
 	}
 
 	// Route when capacity exists: requests buffer at the ingress (as the
@@ -561,26 +562,27 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	enq := p.Now()
 	qs := tr.Start(sp, "knative", "queue", trace.L("service", s.spec.Name))
 	var h *podHandle
-	for {
+	routed := func() bool {
+		if s.stopped || resilience.Expired(deadline, p.Now()) {
+			return true
+		}
+		h = s.pickAvailable()
+		return h != nil
+	}
+	if !routed() {
+		s.readySig.Wait(p, routed)
+	}
+	if h == nil {
+		qs.End()
 		if s.stopped {
-			qs.End()
 			sp.SetLabel("status", "failed")
 			return Response{}, fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false
 		}
-		if resilience.Expired(req.Deadline, p.Now()) {
-			qs.End()
-			s.DeadlineDrops++
-			sp.SetLabel("status", "deadline")
-			return Response{}, fmt.Errorf("knative: service %s: %w in queue", s.spec.Name, resilience.ErrDeadlineExceeded), false
-		}
-		h = s.pickAvailable()
-		if h != nil {
-			break
-		}
-		s.readySig.Wait(p)
+		s.DeadlineDrops++
+		sp.SetLabel("status", "deadline")
+		return Response{}, fmt.Errorf("knative: service %s: %w in queue", s.spec.Name, resilience.ErrDeadlineExceeded), false
 	}
 	exitAdmission() // holding a serving slot: leave the waiting room
-	h.inFlight++
 	qs.SetLabel("node", h.pod.NodeName)
 	qs.End()
 	queued := p.Now() - enq
@@ -604,7 +606,6 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	// the remaining budget; executing anyway would waste a pod slot on a
 	// response nobody is waiting for.
 	if resilience.Expired(req.Deadline, p.Now()) {
-		h.gate.Release(1)
 		h.inFlight--
 		s.readySig.Broadcast()
 		s.DeadlineDrops++
@@ -629,7 +630,6 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 		p.Sleep(kn.codecTime(req.PayloadOut))
 		po.End()
 	}
-	h.gate.Release(1)
 	h.inFlight--
 	s.readySig.Broadcast() // capacity freed: admit ingress-buffered requests
 	if execErr != nil {
@@ -702,70 +702,89 @@ func (kn *Knative) codecTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / kn.prm.PayloadCodecBps * float64(time.Second))
 }
 
-// routePolicy maps the service's RoutePolicy onto the placement layer: one
-// readiness/capacity filter plus the policy's score. Both scores encode
-// "lowest wins" by negation, and the rotating rr offset breaks ties
-// round-robin, as the knative ingress balances equal backends.
-func (s *Service) routePolicy() sched.Policy {
-	filters := []sched.Filter{
-		sched.FilterFunc("ready-capacity", func(_ sched.Request, c sched.Candidate) bool {
-			h := c.Aux.(*podHandle)
-			return h.ready() && h.gate.Available() > 0
-		}),
+// routeName is the placement-layer name of a replica-routing policy, as
+// recorded on sched/place spans.
+func routeName(r RoutePolicy) string {
+	if r == RouteLeastNodeLoad {
+		return "least-node-load"
 	}
-	var score sched.Score
-	name := "least-requests"
-	switch s.spec.Routing {
-	case RouteLeastNodeLoad:
-		// Redirect away from busy nodes (§IX-D): node CPU queue length
-		// first, replica queue as tie-break.
-		name = "least-node-load"
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
-			h := c.Aux.(*podHandle)
-			node := s.kn.cl.MustNode(h.pod.NodeName)
-			return -(float64(node.CPU.Load())*1e6 + float64(h.inFlight))
-		})
-	default:
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
-			return -float64(c.Aux.(*podHandle).inFlight)
-		})
-	}
-	pol := sched.Policy{Name: name, Filters: filters, Scores: []sched.Score{score}}
-	if err := pol.Validate(); err != nil {
-		panic(err)
-	}
-	return pol
+	return "least-requests"
 }
 
-// pickAvailable chooses a ready replica with free concurrency capacity
-// according to the service's route policy and claims one request slot on it.
-// It returns nil when every ready replica is saturated.
+// slots is a replica's request-slot count: the container concurrency, or
+// effectively unlimited when the spec leaves it unset.
+func (s *Service) slots() int {
+	if cc := s.spec.ContainerConcurrency; cc > 0 {
+		return cc
+	}
+	return 1 << 20
+}
+
+// routeScore ranks a ready replica for routing; higher is better. Both
+// policies encode "lowest wins" by negation: in-flight requests, or for
+// RouteLeastNodeLoad the node's CPU queue length first with in-flight
+// requests as the tie-break (§IX-D task redirection).
+func (s *Service) routeScore(h *podHandle) float64 {
+	if s.spec.Routing == RouteLeastNodeLoad {
+		node := s.kn.cl.MustNode(h.pod.NodeName)
+		return -(float64(node.CPU.Load())*1e6 + float64(h.inFlight))
+	}
+	return -float64(h.inFlight)
+}
+
+// pickAvailable chooses a ready replica with a free request slot and claims
+// the slot, or returns nil when every ready replica is saturated. It keeps
+// sched.Policy.Pick's contract in one allocation-free pass: replicas are
+// visited in creation order rotated by the round-robin counter, advanced on
+// every pick, and only a strictly higher routeScore displaces the
+// incumbent, so equal replicas take turns as the knative ingress balances
+// equal backends. With a tracer attached the decision is recorded as a
+// sched/place span.
 func (s *Service) pickAvailable() *podHandle {
 	s.rr++
 	n := len(s.pods)
 	if n == 0 {
 		return nil
 	}
-	cands := make([]sched.Candidate, n)
-	for i, h := range s.pods {
-		cands[i] = sched.Candidate{Name: h.pod.NodeName, Free: h.gate.Available(), Aux: h}
+	cc := s.slots()
+	var best *podHandle
+	bestScore := 0.0
+	feasible := 0
+	for i := 0; i < n; i++ {
+		h := s.pods[(i+s.rr)%n]
+		if !h.ready() || h.inFlight >= cc {
+			continue
+		}
+		feasible++
+		if score := s.routeScore(h); best == nil || score > bestScore {
+			best, bestScore = h, score
+		}
 	}
-	req := sched.Request{Name: s.spec.Name}
-	d := s.route.Pick(req, cands, s.rr)
-	if d.Winner == nil {
+	if best == nil {
 		return nil
 	}
-	h := d.Winner.Aux.(*podHandle)
-	if !h.gate.TryAcquire(1) {
-		// The winner's capacity vanished between the policy's filter pass
-		// and the claim (a scale-down or pod kill interleaved with this
-		// request's wake-up). Treat it like no replica being available:
-		// the caller re-waits on readySig and retries the pick.
-		return nil
+	if tr := trace.FromEnv(s.kn.env); tr != nil {
+		s.recordPick(tr, best, bestScore, feasible)
 	}
-	tr := trace.FromEnv(s.kn.env)
-	sched.Record(tr, tr.Current(), "knative", s.route, req, d)
-	return h
+	best.inFlight++
+	return best
+}
+
+// recordPick emits a routing decision through sched.Record, labelled as a
+// one-score placement policy would label it: the total is the weighted sum
+// 0 + 1·score, which is +0 where the plugin's own value is -0.
+func (s *Service) recordPick(tr *trace.Tracer, h *podHandle, score float64, feasible int) {
+	name := routeName(s.spec.Routing)
+	total := 0.0
+	total += score
+	sched.Record(tr, tr.Current(), "knative", sched.Policy{Name: name},
+		sched.Request{Name: s.spec.Name},
+		sched.Decision{
+			Winner:    &sched.Candidate{Name: h.pod.NodeName},
+			Score:     total,
+			Feasible:  feasible,
+			PerPlugin: []sched.PluginScore{{Plugin: name, Value: score}},
+		})
 }
 
 // purgeDead removes handles whose pods were killed out from under the

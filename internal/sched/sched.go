@@ -1,8 +1,10 @@
 // Package sched is the unified placement layer of the testbed: a
-// kube-scheduler-style plugin framework shared by every component that must
+// kube-scheduler-style plugin framework shared by the components that must
 // choose "where does this unit of work go" — the Kubernetes scheduler binding
-// pods to nodes, the HTCondor negotiator matching jobs to startd slots, and
-// the Knative ingress routing requests to replicas.
+// pods to nodes and the HTCondor negotiator matching jobs to startd slots.
+// The Knative ingress, whose routing pick runs for every queued request on
+// every freed slot, keeps Pick's contract in its own allocation-free pass and
+// records its decisions through Record.
 //
 // A Policy is an ordered list of Filter plugins (feasibility predicates: out
 // of memory, CPU fully requested, node cordoned or offline, requirements
@@ -20,9 +22,8 @@
 // negotiator-style rotation (no machine permanently favoured) passes its own
 // incrementing counter. Two same-seed runs therefore place identically, and
 // the seed schedulers' exact decision sequences are reproduced by the
-// default policies (kube "least-requested", condor "most-free-rr", knative
-// "least-requests") — the experiment tables are byte-for-byte those of the
-// pre-sched schedulers.
+// default policies (kube "least-requested", condor "most-free-rr") — the
+// experiment tables are byte-for-byte those of the pre-sched schedulers.
 package sched
 
 import (

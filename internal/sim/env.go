@@ -400,9 +400,22 @@ func (e *Env) RunFor(d time.Duration) time.Duration {
 // The batch and the wheel only change how the next deliverable is found —
 // an in-flight same-timestamp chain is drained without heap traffic, and
 // wheel slots are promoted into the heap before their window can fire.
+// A process woken from Signal.Wait has its predicate evaluated here, at
+// its turn, and only resumes when the predicate holds.
 func (e *Env) step(horizon time.Duration) bool {
 	if p, ok := e.ready.pop(); ok {
 		e.cur = p
+		if p.cond != nil {
+			if !p.cond() {
+				// Still waiting: back onto the signal, as the process's
+				// own re-Wait would have put it, with no goroutine switch.
+				p.state = stateParked
+				p.sig.waiters = append(p.sig.waiters, p)
+				e.cur = nil
+				return true
+			}
+			p.cond, p.sig = nil, nil
+		}
 		p.state = stateRunning
 		p.resume.pass()
 		e.yield.await()

@@ -39,6 +39,11 @@ type Proc struct {
 	name   string
 	state  procState
 	resume baton
+	// cond and sig are set while the process waits in Signal.Wait: the
+	// scheduler evaluates cond at the process's run-queue turn and re-parks
+	// it on sig while cond is false.
+	cond func() bool
+	sig  *Signal
 }
 
 // Env returns the environment the process belongs to.

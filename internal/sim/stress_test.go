@@ -52,7 +52,7 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(1000)) * time.Millisecond)
 				}
-				sig.Wait(p)
+				sig.Wait(p, func() bool { return true })
 			})
 		}
 		env.Go("broadcaster", func(p *Proc) {

@@ -2,8 +2,8 @@ package sim
 
 // Semaphore is a counting semaphore with FIFO fairness: waiters acquire in
 // arrival order, so a large request cannot be starved by a stream of small
-// ones. It models bounded resources such as condor slots or a queue-proxy's
-// container-concurrency gate.
+// ones. It models bounded resources such as the condor schedd's serialized
+// shadow spawns.
 type Semaphore struct {
 	env   *Env
 	avail int
@@ -144,12 +144,14 @@ func (g *Gate) Open() {
 // Waiting reports whether a process is parked on the gate.
 func (g *Gate) Waiting() bool { return g.p != nil }
 
-// Signal is a broadcast-only condition variable: processes Wait on it and
-// every Broadcast wakes all current waiters. It backs watch/notify patterns
-// (informers, reconcile loops).
+// Signal is a broadcast-only condition variable: processes Wait on it for a
+// predicate and every Broadcast lets all current waiters re-examine theirs.
+// It backs watch/notify patterns (informers, reconcile loops, an activator's
+// queue of requests waiting for a free replica slot).
 type Signal struct {
 	env     *Env
 	waiters []*Proc
+	spare   []*Proc // the previous waiter list's backing array, reused
 }
 
 // NewSignal returns a signal bound to env.
@@ -157,19 +159,39 @@ func NewSignal(env *Env) *Signal {
 	return &Signal{env: env}
 }
 
-// Wait blocks the calling process until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
+// Wait parks the calling process until a Broadcast after which cond holds.
+// It always parks first — cond is not evaluated on entry, so a caller that
+// must not block when the predicate already holds checks it before calling.
+//
+// After each Broadcast the scheduler evaluates cond at the waiter's
+// run-queue turn, which is exactly where the woken process would have
+// resumed, with CurrentProc() reporting p. A true result resumes the
+// process; a false one re-appends it to the signal's waiters, where a
+// process looping `for !cond() { Wait }` on its own goroutine would have
+// put itself, without a goroutine switch. The schedule is therefore that of
+// the loop, byte for byte, while a waiter whose predicate keeps failing
+// costs one function call per Broadcast.
+//
+// cond runs in scheduler context and must not block: no Sleep, no Wait, no
+// channel or semaphore operation that may park. It may read the clock and
+// mutate model state — whatever it claims when it returns true is claimed
+// atomically with the resume.
+func (s *Signal) Wait(p *Proc, cond func() bool) {
+	p.cond, p.sig = cond, s
 	s.waiters = append(s.waiters, p)
 	p.park()
 }
 
-// Broadcast wakes every process currently blocked in Wait.
+// Broadcast wakes every process currently blocked in Wait; each resumes at
+// its turn only if its predicate then holds.
 func (s *Signal) Broadcast() {
 	ws := s.waiters
-	s.waiters = nil
+	s.waiters = s.spare[:0]
 	for _, p := range ws {
 		p.wake()
 	}
+	clear(ws)
+	s.spare = ws
 }
 
 // Waiting returns the number of blocked waiters.

@@ -130,10 +130,11 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv(1)
 	sig := NewSignal(env)
+	open := false
 	woken := 0
 	for i := 0; i < 4; i++ {
 		env.Go("waiter", func(p *Proc) {
-			sig.Wait(p)
+			sig.Wait(p, func() bool { return open })
 			woken++
 		})
 	}
@@ -142,11 +143,17 @@ func TestSignalBroadcast(t *testing.T) {
 		if sig.Waiting() != 4 {
 			t.Errorf("Waiting = %d, want 4", sig.Waiting())
 		}
+		sig.Broadcast() // predicate still false: every waiter re-parks
+		p.Sleep(time.Second)
+		if woken != 0 || sig.Waiting() != 4 {
+			t.Errorf("after a false broadcast: woken = %d, Waiting = %d, want 0 and 4", woken, sig.Waiting())
+		}
+		open = true
 		sig.Broadcast()
 	})
 	env.Run()
-	if woken != 4 {
-		t.Errorf("woken = %d, want 4", woken)
+	if woken != 4 || sig.Waiting() != 0 || env.Alive() != 0 {
+		t.Errorf("woken = %d, Waiting = %d, Alive = %d, want 4, 0, 0", woken, sig.Waiting(), env.Alive())
 	}
 }
 

@@ -130,8 +130,9 @@ func (n *Network) Partitioned(a, b string) bool {
 
 // waitReachable blocks the calling process while from↔to is partitioned.
 func (n *Network) waitReachable(p *sim.Proc, from, to string) {
-	for n.parts[partKey(from, to)] {
-		n.healed.Wait(p)
+	key := partKey(from, to)
+	if n.parts[key] {
+		n.healed.Wait(p, func() bool { return !n.parts[key] })
 	}
 }
 

@@ -136,3 +136,39 @@ func TestDuplicateNodePanics(t *testing.T) {
 	}()
 	n.AddNode("w1", 10)
 }
+
+// A transfer across a partitioned pair stalls until that pair heals —
+// healing another pair does not release it — and then takes its usual
+// latency plus transfer time from the heal.
+func TestPartitionBlocksTransferUntilHeal(t *testing.T) {
+	env := sim.NewEnv(1)
+	n := newNet(env)
+	n.Partition("w1", "submit")
+	n.Partition("submit", "w2")
+	if !n.Partitioned("submit", "w1") || !n.Partitioned("w2", "submit") {
+		t.Fatal("Partitioned does not report the severed pairs")
+	}
+	done := time.Duration(-1)
+	env.Go("xfer", func(p *sim.Proc) {
+		n.Transfer(p, "submit", "w1", 200) // 200 B at 100 B/s + 1ms latency
+		done = p.Now()
+	})
+	env.At(time.Second, func() { n.Heal("submit", "w2") })
+	env.At(2*time.Second, func() {
+		if done >= 0 {
+			t.Errorf("transfer finished at %v although its pair is still partitioned", done)
+		}
+		if n.Partitioned("submit", "w2") || !n.Partitioned("submit", "w1") {
+			t.Error("healing submit|w2 changed the wrong pair")
+		}
+	})
+	heal := 3 * time.Second
+	env.At(heal, func() { n.Heal("w1", "submit") })
+	env.Run()
+	if want := heal + time.Millisecond + 2*time.Second; done != want {
+		t.Errorf("transfer finished at %v, want %v (heal + latency + 2 s)", done, want)
+	}
+	if env.Alive() != 0 {
+		t.Errorf("%d processes left blocked", env.Alive())
+	}
+}
