@@ -89,6 +89,10 @@ func TestSeedCompatGoldens(t *testing.T) {
 		// default) to the seed loop's byte-exact traces and span orderings.
 		{"trace", func(o Options) tableWriter { return Trace(o) }},
 		{"chaos", func(o Options) tableWriter { return Chaos(o) }},
+		// execmode was captured before the engine's incremental ready set:
+		// it pins the decentralized and trigger release paths, which share
+		// the poll loop's dependency countdown.
+		{"execmode", func(o Options) tableWriter { return ExecModeStudy(o) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
