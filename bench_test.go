@@ -421,6 +421,51 @@ func BenchmarkRunnerSpeedup(b *testing.B) {
 	}
 }
 
+// ---- Workflow engine benchmarks ----
+
+// BenchmarkPollRelease measures the DAGMan poll loop's host cost per task:
+// a FanOutFanIn DAG of native tasks runs to completion under the default
+// poll execution mode on the execmode study's 32-node x 16-core cluster.
+// Stack and DAG construction are excluded. Compare the two sizes' ns/task:
+// a release path that rescans the DAG every tick costs per task in
+// proportion to tasks x ticks, so the larger DAG's figure would grow
+// several-fold; an incremental one keeps the two close.
+func BenchmarkPollRelease(b *testing.B) {
+	for _, size := range []struct{ width, depth int }{{128, 20}, {256, 40}} {
+		size := size
+		b.Run(fmt.Sprintf("fan=%dx%d", size.width, size.depth), func(b *testing.B) {
+			prm := config.Default()
+			prm.WorkerNodes = 32
+			prm.CoresPerNode = 16
+			prm.ExecMode = config.ExecPoll.String()
+			var elapsed time.Duration
+			tasks := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := core.NewStack(uint64(i+1), prm)
+				s.RegisterTransformation(workload.MatmulTransformation,
+					prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+				wf := workload.FanOutFanIn(sim.NewRNG(uint64(i+1)), "fan", size.width, size.depth,
+					4096, workload.UniformScale(0.5, 1.5))
+				var runErr error
+				s.Env.Go("main", func(p *sim.Proc) {
+					defer s.Shutdown()
+					_, runErr = s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeNative))
+				})
+				b.StartTimer()
+				t0 := time.Now()
+				s.Env.Run()
+				elapsed += time.Since(t0)
+				if runErr != nil {
+					b.Fatal(runErr)
+				}
+				tasks += wf.Len()
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(tasks), "ns/task")
+		})
+	}
+}
+
 // ---- Simulator micro-benchmarks ----
 
 // BenchmarkSimKernelEvents measures raw event throughput of the DES kernel.

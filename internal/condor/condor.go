@@ -142,7 +142,8 @@ type Schedd struct {
 	blocked  []*Job // per-job mode: matched but no slot free yet
 	startds  []*startd
 	policy   sched.Policy
-	rrOffset int // rotates tie-breaking among equally free startds
+	rrOffset int               // rotates tie-breaking among equally free startds
+	cands    []sched.Candidate // pickStartdFor's reusable candidate buffer
 	nextID   int
 	shadow   *sim.Semaphore // serializes shadow spawns at the schedd
 	rng      *sim.RNG
@@ -492,13 +493,19 @@ func jobRequest(j *Job) sched.Request {
 // job. The rotation offset advances on every negotiation attempt — matched
 // or not — exactly as the seed matchmaker did, so the round-robin stream is
 // unchanged.
+//
+// The candidate buffer is the Schedd's and is rebuilt on every pick, so the
+// returned Decision (whose Winner points into it) is valid only until the
+// next pick. Every caller consumes it first: it either drops the decision
+// or passes it straight to dispatch, which records it through sched.Record
+// before any other pick can run.
 func (s *Schedd) pickStartdFor(j *Job) (*startd, sched.Decision) {
 	s.rrOffset++
-	cands := make([]sched.Candidate, len(s.startds))
-	for i, sd := range s.startds {
-		cands[i] = sched.Candidate{Name: sd.node.Name, Node: sd.node, Free: sd.free, Aux: sd}
+	s.cands = s.cands[:0]
+	for _, sd := range s.startds {
+		s.cands = append(s.cands, sched.Candidate{Name: sd.node.Name, Node: sd.node, Free: sd.free, Aux: sd})
 	}
-	d := s.policy.Pick(jobRequest(j), cands, s.rrOffset)
+	d := s.policy.Pick(jobRequest(j), s.cands, s.rrOffset)
 	if d.Winner == nil {
 		return nil, d
 	}

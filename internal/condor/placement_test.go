@@ -44,3 +44,29 @@ func TestDataLocalityPlacement(t *testing.T) {
 	})
 	f.env.Run()
 }
+
+// TestPickStartdReusesCandidateBuffer pins the matchmaker's allocation
+// profile: a pick builds its candidates in the Schedd's reusable buffer, so
+// a pick that finds no free slot allocates nothing, and a successful one
+// allocates only the winner's per-plugin score list that sched.Policy.Pick
+// returns with the decision.
+func TestPickStartdReusesCandidateBuffer(t *testing.T) {
+	f := newFixture(t, nil)
+	j := &Job{Name: "probe"}
+	var sd *startd
+	if got := testing.AllocsPerRun(200, func() { sd, _ = f.s.pickStartdFor(j) }); got > 1 {
+		t.Errorf("successful pick: %v allocations, want at most 1", got)
+	}
+	if sd == nil {
+		t.Fatal("pick over an idle pool found no startd")
+	}
+	for _, sd := range f.s.startds {
+		sd.free = 0
+	}
+	if got := testing.AllocsPerRun(200, func() { sd, _ = f.s.pickStartdFor(j) }); got != 0 {
+		t.Errorf("saturated pick: %v allocations, want 0", got)
+	}
+	if sd != nil {
+		t.Fatal("pick over a saturated pool found a startd")
+	}
+}

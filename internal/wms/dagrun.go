@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -16,70 +17,152 @@ import (
 // trigger) drive the same bookkeeping and differ only in *who* observes a
 // completion and *when* successors are released — see exec_poll.go and
 // exec_event.go.
+//
+// Per-task state is indexed by declaration position (Workflow.order), and
+// release is incremental: waiting counts each task's unfinished parents, a
+// win decrements its children's counts, and a task whose count reaches zero
+// joins the ready set. Every driver submits from that set, so the work per
+// completion is proportional to the task's successors, not to the DAG.
 type dagRun struct {
 	e     *Engine
 	wf    *Workflow
 	res   *RunResult
-	modes map[string]Mode
+	modes []Mode
 
-	done      map[string]bool
-	attempts  map[string]int
-	inflight  map[string]*flight
-	notBefore map[string]time.Duration // poll-mode retry backoff gate
+	done      []bool
+	nDone     int
+	attempts  []int
+	inflight  []*flight
+	notBefore []time.Duration // poll-mode retry backoff gate
+	waiting   []int           // unfinished parents per task
+
+	// ready holds, in declaration order, the tasks whose parents are all
+	// done and that are neither done nor in flight (poll-mode tasks still
+	// in retry backoff included). flying holds the in-flight tasks in
+	// lexicographic ID order, the poll loop's observation order; scan is
+	// its reusable snapshot.
+	ready  []int
+	flying []int
+	scan   []int
 
 	tracer      *trace.Tracer
 	wfSpan      *trace.Span
 	absDeadline time.Duration
 }
 
-func newDagRun(e *Engine, wf *Workflow, modes map[string]Mode, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) *dagRun {
-	return &dagRun{
+// newDagRun prepares the run's per-task state and asks assign for every
+// task's mode, in declaration order.
+func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) *dagRun {
+	n := wf.Len()
+	d := &dagRun{
 		e:         e,
 		wf:        wf,
 		res:       res,
-		modes:     modes,
-		done:      make(map[string]bool, wf.Len()),
-		attempts:  make(map[string]int, wf.Len()),
-		inflight:  make(map[string]*flight),
-		notBefore: make(map[string]time.Duration),
+		modes:     make([]Mode, n),
+		done:      make([]bool, n),
+		attempts:  make([]int, n),
+		inflight:  make([]*flight, n),
+		notBefore: make([]time.Duration, n),
+		waiting:   make([]int, n),
 		tracer:    tracer,
 		wfSpan:    wfSpan,
 	}
+	for i, id := range wf.order {
+		d.modes[i] = assign(wf.Name, id)
+	}
+	return d
+}
+
+// finished reports whether every task is done.
+func (d *dagRun) finished() bool { return d.nDone == len(d.done) }
+
+// markDone records task i as finished, by a win or by an earlier run (a
+// rescue DAG's done set, which must be loaded before countdown).
+func (d *dagRun) markDone(i int) {
+	d.done[i] = true
+	d.nDone++
+}
+
+// countdown counts every unfinished task's unfinished parents (rescue-done
+// parents are already satisfied) and seeds the ready set with the tasks
+// that have none.
+func (d *dagRun) countdown() {
+	for i, id := range d.wf.order {
+		if d.done[i] {
+			continue
+		}
+		n := 0
+		for _, par := range d.wf.parents[id] {
+			if !d.done[d.wf.index[par]] {
+				n++
+			}
+		}
+		d.waiting[i] = n
+		if n == 0 {
+			d.ready = append(d.ready, i)
+		}
+	}
+}
+
+// markReady inserts a task into the ready set, keeping declaration order.
+func (d *dagRun) markReady(i int) {
+	at, _ := slices.BinarySearch(d.ready, i)
+	d.ready = slices.Insert(d.ready, at, i)
+}
+
+// submitReady submits ready tasks in declaration order, skipping (and
+// keeping) those whose retry backoff gate is still closed at now, until the
+// set is exhausted or the MaxInflight throttle (DAGMan -maxjobs) is
+// reached. started, when non-nil, is told of every new flight right after
+// its submission. This is exactly the seed's release scan over all tasks:
+// a task outside the ready set could never pass its readiness test, and
+// nothing a submission does changes another task's readiness.
+func (d *dagRun) submitReady(now time.Duration, started func(i int, f *flight)) error {
+	kept := d.ready[:0]
+	next := 0
+	var err error
+	for ; next < len(d.ready); next++ {
+		if d.e.MaxInflight > 0 && len(d.flying) >= d.e.MaxInflight {
+			break
+		}
+		i := d.ready[next]
+		if now < d.notBefore[i] {
+			kept = append(kept, i)
+			continue
+		}
+		var f *flight
+		if f, err = d.submitOne(i); err != nil {
+			break
+		}
+		if started != nil {
+			started(i, f)
+		}
+	}
+	d.ready = append(kept, d.ready[next:]...)
+	return err
+}
+
+// flyingAt returns where task i sits (or would sit) in the flying list.
+func (d *dagRun) flyingAt(i int) int {
+	id := d.wf.order[i]
+	return sort.Search(len(d.flying), func(k int) bool { return d.wf.order[d.flying[k]] >= id })
+}
+
+// land takes task i out of flight.
+func (d *dagRun) land(i int) {
+	d.inflight[i] = nil
+	at := d.flyingAt(i)
+	d.flying = slices.Delete(d.flying, at, at+1)
 }
 
 // abandonedJobs counts jobs still in flight — at abort time their results
 // are discarded and the rescue DAG re-runs those tasks.
 func (d *dagRun) abandonedJobs() int {
 	n := 0
-	for _, f := range d.inflight {
-		n += len(f.jobs)
+	for _, i := range d.flying {
+		n += len(d.inflight[i].jobs)
 	}
 	return n
-}
-
-// readyAt reports whether a task can be submitted at time now: not finished,
-// not in flight, past its retry backoff gate, and with every parent done.
-func (d *dagRun) readyAt(now time.Duration, id string) bool {
-	if d.done[id] || d.inflight[id] != nil || now < d.notBefore[id] {
-		return false
-	}
-	for _, par := range d.wf.Parents(id) {
-		if !d.done[par] {
-			return false
-		}
-	}
-	return true
-}
-
-// inflightIDs returns the in-flight task IDs in sorted order (the poll
-// loop's deterministic scan order).
-func (d *dagRun) inflightIDs() []string {
-	ids := make([]string, 0, len(d.inflight))
-	for id := range d.inflight {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // winnerIndex returns the index of the earliest-finishing completed copy of
@@ -100,20 +183,22 @@ func (d *dagRun) winnerIndex(f *flight) int {
 
 // observeWin resolves a task whose copy winIdx completed: the flight is
 // retired, still-running losers are abandoned (they finish on their own and
-// their results are discarded), hedge accounting is settled, and the task's
-// provenance is recorded. The attempt span closes now — in poll mode that is
-// the poll tick after completion (its tail is the DAGMan-poll slack), in the
-// event-driven modes it is the moment of observation.
-func (d *dagRun) observeWin(id string, f *flight, winIdx int) {
+// their results are discarded), hedge accounting is settled, the task's
+// provenance is recorded, and its children's countdowns advance. It returns
+// how many children became ready. The attempt span closes now — in poll
+// mode that is the poll tick after completion (its tail is the DAGMan-poll
+// slack), in the event-driven modes it is the moment of observation.
+func (d *dagRun) observeWin(i int, f *flight, winIdx int) (released int) {
+	id := d.wf.order[i]
 	win := f.jobs[winIdx]
-	delete(d.inflight, id)
-	d.done[id] = true
+	d.land(i)
+	d.markDone(i)
 	d.e.Budget.OnSuccess()
-	for i, hs := range f.spans {
+	for k, hs := range f.spans {
 		if hs == nil {
 			continue
 		}
-		if i == winIdx {
+		if k == winIdx {
 			hs.SetLabel("status", "won")
 		} else {
 			hs.SetLabel("status", "abandoned")
@@ -128,13 +213,24 @@ func (d *dagRun) observeWin(id string, f *flight, winIdx int) {
 	f.attempt.End()
 	d.res.Tasks[id] = &TaskResult{
 		ID:          id,
-		Mode:        d.modes[id],
+		Mode:        d.modes[i],
 		Node:        win.Node(),
-		Attempts:    d.attempts[id],
+		Attempts:    d.attempts[i],
 		SubmittedAt: win.SubmittedAt,
 		StartedAt:   win.StartedAt,
 		FinishedAt:  win.FinishedAt,
 	}
+	for _, child := range d.wf.childs[id] {
+		c := d.wf.index[child]
+		if d.done[c] {
+			continue // finished by an earlier run
+		}
+		if d.waiting[c]--; d.waiting[c] == 0 {
+			d.markReady(c)
+			released++
+		}
+	}
+	return released
 }
 
 // pruneFailed drops the flight's failed copies, ending their hedge spans.
@@ -157,20 +253,24 @@ func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
 	return len(f.jobs) == 0
 }
 
-// failAttempt handles a task attempt with no live copies left: the flight
-// must already be removed from the in-flight set and its attempt span ended.
-// It either authorizes a resubmission after the returned backoff, or returns
-// the AbortError (retries exhausted, or the engine-wide retry budget denied
-// the resubmission) that ends the run.
-func (d *dagRun) failAttempt(p *sim.Proc, id string) (time.Duration, *AbortError) {
-	if d.attempts[id] >= d.e.Retry.Attempts() {
+// failAttempt handles a task attempt with no live copies left: it takes
+// the flight out of the in-flight set and ends its attempt span. It either
+// authorizes a resubmission after the returned backoff, or returns the
+// AbortError (retries exhausted, or the engine-wide retry budget denied the
+// resubmission) that ends the run.
+func (d *dagRun) failAttempt(p *sim.Proc, i int, f *flight) (time.Duration, *AbortError) {
+	d.land(i)
+	f.attempt.SetLabel("status", "failed")
+	f.attempt.End()
+	id := d.wf.order[i]
+	if d.attempts[i] >= d.e.Retry.Attempts() {
 		d.wfSpan.SetLabel("status", "aborted")
 		// Per-task retries exhausted: abort with a rescue capturing
 		// completed-task state. Jobs still in flight are abandoned (their
 		// results discarded); the rescue DAG re-runs those tasks.
 		return 0, &AbortError{
 			Task:     id,
-			Attempts: d.attempts[id],
+			Attempts: d.attempts[i],
 			Reason:   AbortRetries,
 			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
 		}
@@ -182,14 +282,14 @@ func (d *dagRun) failAttempt(p *sim.Proc, id string) (time.Duration, *AbortError
 		d.wfSpan.SetLabel("status", "aborted")
 		return 0, &AbortError{
 			Task:     id,
-			Attempts: d.attempts[id],
+			Attempts: d.attempts[i],
 			Reason:   AbortRetryBudget,
 			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
 		}
 	}
 	// Exponential backoff before resubmission, jittered so concurrent
 	// workflows don't resubmit in lockstep.
-	return d.e.Retry.Backoff(d.attempts[id], p.Rand()), nil
+	return d.e.Retry.Backoff(d.attempts[i], p.Rand()), nil
 }
 
 // deadlineAbort builds the AbortError for a run that outlived its deadline.
@@ -201,24 +301,25 @@ func (d *dagRun) deadlineAbort() *AbortError {
 	}
 }
 
-// submitOne starts a new attempt of one task: it opens the attempt span,
+// submitOne starts a new attempt of task i: it opens the attempt span,
 // plans and submits the condor job, and registers the flight.
-func (d *dagRun) submitOne(id string) (*flight, error) {
-	task, _ := d.wf.Task(id)
+func (d *dagRun) submitOne(i int) (*flight, error) {
+	id, task := d.wf.order[i], d.wf.specs[i]
 	sp := d.tracer.Start(d.wfSpan, "wms", "task",
 		trace.L("workflow", d.wf.Name), trace.L("task", id),
-		trace.L("mode", d.modes[id].String()),
-		trace.L("attempt", strconv.Itoa(d.attempts[id]+1)))
+		trace.L("mode", d.modes[i].String()),
+		trace.L("attempt", strconv.Itoa(d.attempts[i]+1)))
 	popCur := d.tracer.Push(sp) // condor job span nests under the attempt
-	job, err := d.e.submitTask(d.wf, task, d.modes[id], d.absDeadline)
+	job, err := d.e.submitTask(d.wf, task, d.modes[i], d.absDeadline)
 	popCur()
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	d.attempts[id]++
+	d.attempts[i]++
 	f := &flight{attempt: sp, jobs: []*condor.Job{job}, spans: []*trace.Span{nil}, hedged: []bool{false}}
-	d.inflight[id] = f
+	d.inflight[i] = f
+	d.flying = slices.Insert(d.flying, d.flyingAt(i), i)
 	return f, nil
 }
 
@@ -231,16 +332,16 @@ func (d *dagRun) hedgeCap() int {
 	return hedgeMax
 }
 
-// submitHedgeCopy launches one speculative duplicate of an in-flight task.
+// submitHedgeCopy launches one speculative duplicate of in-flight task i.
 // The copies race; whoever observes completions keeps whichever finishes
 // first.
-func (d *dagRun) submitHedgeCopy(id string, f *flight) (*condor.Job, error) {
-	task, _ := d.wf.Task(id)
+func (d *dagRun) submitHedgeCopy(i int, f *flight) (*condor.Job, error) {
+	id, task := d.wf.order[i], d.wf.specs[i]
 	hs := d.tracer.Start(f.attempt, "wms", "hedge",
 		trace.L("workflow", d.wf.Name), trace.L("task", id),
 		trace.L("copy", strconv.Itoa(len(f.jobs))))
 	popCur := d.tracer.Push(hs)
-	job, err := d.e.submitTask(d.wf, task, d.modes[id], d.absDeadline)
+	job, err := d.e.submitTask(d.wf, task, d.modes[i], d.absDeadline)
 	popCur()
 	if err != nil {
 		hs.End()

@@ -205,11 +205,6 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 			e.Store.Seed(wf.Name, f.LFN, f.Bytes)
 		}
 	}
-	modes := make(map[string]Mode, wf.Len())
-	for _, id := range wf.TaskIDs() {
-		modes[id] = assign(wf.Name, id)
-	}
-
 	res := &RunResult{
 		Workflow:  wf.Name,
 		StartedAt: p.Now(),
@@ -220,7 +215,7 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	wfSpan := tracer.StartCurrent("wms", "workflow", trace.L("workflow", wf.Name))
 	defer wfSpan.End() // End is idempotent; covers error returns too
 
-	d := newDagRun(e, wf, modes, res, tracer, wfSpan)
+	d := newDagRun(e, wf, assign, res, tracer, wfSpan)
 
 	if rescue != nil {
 		// Rescue-DAG resume: finished tasks are planned out of the DAG and
@@ -228,14 +223,16 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 		// progress is reinstated; the makespan spans the original start.
 		res.StartedAt = rescue.StartedAt
 		for id, tr := range rescue.Done {
-			if _, exists := wf.Task(id); !exists {
+			i, exists := wf.index[id]
+			if !exists {
 				return nil, fmt.Errorf("wms: rescue records unknown task %q", id)
 			}
-			d.done[id] = true
+			d.markDone(i)
 			res.Tasks[id] = tr
 		}
 		e.restoreProgress(wf, rescue)
 	}
+	d.countdown() // after the rescue: its finished tasks count as done
 
 	// The workflow deadline is absolute from the (possibly rescued) start,
 	// and propagates into every serverless submission.

@@ -12,23 +12,10 @@ import (
 // `dagman-poll` critical-path bucket. This driver reproduces the seed
 // engine's behaviour byte for byte: the operation order (and hence every RNG
 // draw and span) is identical to the pre-refactor loop, which the seed-compat
-// goldens in internal/experiments pin down.
+// goldens in internal/experiments and testdata/pollcompat.golden pin down.
+// Each tick costs what changed since the last one: it observes the tasks in
+// flight and submits from the ready set, never rescanning the whole DAG.
 func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
-	submitReady := func() error {
-		for _, id := range d.wf.TaskIDs() {
-			if e.MaxInflight > 0 && len(d.inflight) >= e.MaxInflight {
-				return nil // DAGMan -maxjobs throttle
-			}
-			if !d.readyAt(p.Now(), id) {
-				continue
-			}
-			if _, err := d.submitOne(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// submitHedges launches speculative copies of straggling tasks: any
 	// in-flight task whose newest copy has sat longer than HedgeAfter gets
 	// a duplicate submission, up to HedgeMax copies per attempt. The copies
@@ -38,8 +25,8 @@ func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
 			return nil
 		}
 		hedgeMax := d.hedgeCap()
-		for _, id := range d.inflightIDs() {
-			f := d.inflight[id]
+		for _, i := range d.flying {
+			f := d.inflight[i]
 			if len(f.jobs) >= 1+hedgeMax {
 				continue
 			}
@@ -47,7 +34,7 @@ func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
 			if p.Now()-newest.SubmittedAt < e.HedgeAfter {
 				continue
 			}
-			if _, err := d.submitHedgeCopy(id, f); err != nil {
+			if _, err := d.submitHedgeCopy(i, f); err != nil {
 				return err
 			}
 		}
@@ -60,42 +47,43 @@ func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
 	// vanish into the quantization.
 	p.Sleep(time.Duration(p.Rand().Float64() * float64(e.Prm.DAGManPoll)))
 
-	if err := submitReady(); err != nil {
+	if err := d.submitReady(p.Now(), nil); err != nil {
 		return err
 	}
-	for len(d.done) < d.wf.Len() {
+	for !d.finished() {
 		p.Sleep(e.Prm.DAGManPoll)
 		// Workflow deadline: stop resubmitting and abort with a rescue; the
 		// serving layer is already dropping the in-flight work past it.
 		if d.absDeadline > 0 && p.Now() >= d.absDeadline {
 			return d.deadlineAbort()
 		}
-		for _, id := range d.inflightIDs() {
-			f := d.inflight[id]
+		// Observe the tasks in flight at the tick, in ID order; resolving
+		// one takes it out of d.flying, so walk a snapshot.
+		d.scan = append(d.scan[:0], d.flying...)
+		for _, i := range d.scan {
+			f := d.inflight[i]
 			// Winner: the earliest-finishing completed copy (primary or
 			// hedge). Still-running losers are abandoned — they finish on
 			// their own and their results are discarded.
 			if winIdx := d.winnerIndex(f); winIdx >= 0 {
-				d.observeWin(id, f, winIdx)
+				d.observeWin(i, f, winIdx)
 				continue
 			}
 			// Drop failed copies; the attempt fails only when none remain.
 			if !d.pruneFailed(f) {
 				continue
 			}
-			delete(d.inflight, id)
-			f.attempt.SetLabel("status", "failed")
-			f.attempt.End()
-			backoff, abort := d.failAttempt(p, id)
+			backoff, abort := d.failAttempt(p, i, f)
 			if abort != nil {
 				return abort
 			}
-			d.notBefore[id] = p.Now() + backoff
+			d.notBefore[i] = p.Now() + backoff
+			d.markReady(i)
 		}
 		if err := submitHedges(); err != nil {
 			return err
 		}
-		if err := submitReady(); err != nil {
+		if err := d.submitReady(p.Now(), nil); err != nil {
 			return err
 		}
 	}

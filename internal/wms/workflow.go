@@ -76,8 +76,9 @@ func (t *TaskSpec) OutputBytes() int64 {
 // Workflow is an abstract DAG of tasks.
 type Workflow struct {
 	Name    string
-	tasks   map[string]*TaskSpec
-	order   []string            // insertion order, for determinism
+	index   map[string]int      // task ID → declaration position
+	specs   []*TaskSpec         // by declaration position
+	order   []string            // task IDs by declaration position
 	parents map[string][]string // child → parents
 	childs  map[string][]string // parent → children
 }
@@ -86,7 +87,7 @@ type Workflow struct {
 func NewWorkflow(name string) *Workflow {
 	return &Workflow{
 		Name:    name,
-		tasks:   make(map[string]*TaskSpec),
+		index:   make(map[string]int),
 		parents: make(map[string][]string),
 		childs:  make(map[string][]string),
 	}
@@ -97,21 +98,22 @@ func (w *Workflow) AddTask(t TaskSpec) error {
 	if t.ID == "" {
 		return fmt.Errorf("wms: task with empty ID")
 	}
-	if _, dup := w.tasks[t.ID]; dup {
+	if _, dup := w.index[t.ID]; dup {
 		return fmt.Errorf("wms: duplicate task %q", t.ID)
 	}
 	spec := t
-	w.tasks[t.ID] = &spec
+	w.index[t.ID] = len(w.order)
+	w.specs = append(w.specs, &spec)
 	w.order = append(w.order, t.ID)
 	return nil
 }
 
 // AddDependency declares that child runs after parent.
 func (w *Workflow) AddDependency(parent, child string) error {
-	if _, ok := w.tasks[parent]; !ok {
+	if _, ok := w.index[parent]; !ok {
 		return fmt.Errorf("wms: dependency references unknown task %q", parent)
 	}
-	if _, ok := w.tasks[child]; !ok {
+	if _, ok := w.index[child]; !ok {
 		return fmt.Errorf("wms: dependency references unknown task %q", child)
 	}
 	w.parents[child] = append(w.parents[child], parent)
@@ -121,8 +123,11 @@ func (w *Workflow) AddDependency(parent, child string) error {
 
 // Task returns a task by ID.
 func (w *Workflow) Task(id string) (*TaskSpec, bool) {
-	t, ok := w.tasks[id]
-	return t, ok
+	i, ok := w.index[id]
+	if !ok {
+		return nil, false
+	}
+	return w.specs[i], true
 }
 
 // TaskIDs returns all task IDs in insertion order.
@@ -137,12 +142,12 @@ func (w *Workflow) Parents(id string) []string { return w.parents[id] }
 func (w *Workflow) Children(id string) []string { return w.childs[id] }
 
 // Len returns the number of tasks.
-func (w *Workflow) Len() int { return len(w.tasks) }
+func (w *Workflow) Len() int { return len(w.order) }
 
 // TopoOrder returns a topological ordering, or an error if the DAG has a
 // cycle.
 func (w *Workflow) TopoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(w.tasks))
+	indeg := make(map[string]int, len(w.order))
 	for _, id := range w.order {
 		indeg[id] = len(w.parents[id])
 	}
@@ -164,7 +169,7 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 			}
 		}
 	}
-	if len(out) != len(w.tasks) {
+	if len(out) != len(w.order) {
 		return nil, fmt.Errorf("wms: workflow %s has a cycle", w.Name)
 	}
 	return out, nil
@@ -175,13 +180,13 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 // before the run (the replica catalog's job).
 func (w *Workflow) ExternalInputs() []FileSpec {
 	produced := make(map[string]bool)
-	for _, t := range w.tasks {
+	for _, t := range w.specs {
 		for _, f := range t.Outputs {
 			produced[f.LFN] = true
 		}
 	}
 	seen := make(map[string]FileSpec)
-	for _, t := range w.tasks {
+	for _, t := range w.specs {
 		for _, f := range t.Inputs {
 			if !produced[f.LFN] {
 				seen[f.LFN] = f
@@ -201,34 +206,85 @@ func (w *Workflow) ExternalInputs() []FileSpec {
 }
 
 // Validate checks structural soundness: acyclicity and that every task
-// input is either an external input or produced by an ancestor.
+// input is either an external input or produced by an ancestor. An error
+// names the first offending input in topological order.
+//
+// The check is linear in the DAG for the usual case, where some producer of
+// each input is a direct parent; only an input whose producers are all
+// non-parents costs a search of the task's ancestors.
 func (w *Workflow) Validate() error {
 	topo, err := w.TopoOrder()
 	if err != nil {
 		return err
 	}
-	external := make(map[string]bool)
-	for _, f := range w.ExternalInputs() {
-		external[f.LFN] = true
-	}
-	// available[task] = set of LFNs visible to it via ancestors.
-	availAt := make(map[string]map[string]bool, len(w.tasks))
-	for _, id := range topo {
-		avail := make(map[string]bool)
-		for _, par := range w.parents[id] {
-			for lfn := range availAt[par] {
-				avail[lfn] = true
-			}
-			for _, f := range w.tasks[par].Outputs {
-				avail[f.LFN] = true
-			}
+	// producers[lfn] lists the positions of every task that outputs lfn;
+	// an LFN no task produces is an external input.
+	producers := make(map[string][]int)
+	for i, t := range w.specs {
+		for _, f := range t.Outputs {
+			producers[f.LFN] = append(producers[f.LFN], i)
 		}
-		for _, f := range w.tasks[id].Inputs {
-			if !external[f.LFN] && !avail[f.LFN] {
+	}
+	// Generation stamps, so no per-task or per-search set is allocated:
+	// parentOf[i] == task stamp when i is a parent of the task under check,
+	// wanted/seen[i] == search stamp during one ancestor search.
+	parentOf := make([]int, len(w.specs))
+	wanted := make([]int, len(w.specs))
+	seen := make([]int, len(w.specs))
+	var stack []int
+	search := 0
+	for ti, id := range topo {
+		stamp := ti + 1
+		pars := w.parents[id]
+		for _, par := range pars {
+			parentOf[w.index[par]] = stamp
+		}
+		for _, f := range w.specs[w.index[id]].Inputs {
+			prods := producers[f.LFN]
+			if len(prods) == 0 {
+				continue // external input
+			}
+			direct := false
+			for _, pi := range prods {
+				if parentOf[pi] == stamp {
+					direct = true
+					break
+				}
+			}
+			if direct {
+				continue
+			}
+			// No producer is a parent: search the proper ancestors.
+			search++
+			for _, pi := range prods {
+				wanted[pi] = search
+			}
+			found := false
+			stack = stack[:0]
+			for _, par := range pars {
+				stack = append(stack, w.index[par])
+			}
+			for len(stack) > 0 && !found {
+				a := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if seen[a] == search {
+					continue
+				}
+				seen[a] = search
+				if wanted[a] == search {
+					found = true
+					break
+				}
+				for _, gp := range w.parents[w.order[a]] {
+					if gi := w.index[gp]; seen[gi] != search {
+						stack = append(stack, gi)
+					}
+				}
+			}
+			if !found {
 				return fmt.Errorf("wms: task %s input %q is produced by a non-ancestor", id, f.LFN)
 			}
 		}
-		availAt[id] = avail
 	}
 	return nil
 }
