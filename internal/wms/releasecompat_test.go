@@ -146,7 +146,7 @@ func runOne(wf *Workflow, assign ModeAssigner) func(*testing.T, *stack, *sim.Pro
 
 // mixedModes deploys the serverless function and splits tasks across the
 // three modes from a seeded stream.
-func mixedModes(t *testing.T, wf *Workflow, seed uint64) func(*testing.T, *stack, *sim.Proc, *bytes.Buffer) {
+func mixedModes(wf *Workflow, seed uint64) func(*testing.T, *stack, *sim.Proc, *bytes.Buffer) {
 	return func(t *testing.T, s *stack, p *sim.Proc, log *bytes.Buffer) {
 		s.deployFunction(p, t)
 		runOne(wf, AssignFractions(sim.NewRNG(seed), 1, 1, 1))(t, s, p, log)
@@ -166,7 +166,7 @@ func releaseCases(t *testing.T, mode string) []releaseCase {
 	cases = append(cases,
 		releaseCase{
 			name: "mixed-modes",
-			run:  mixedModes(t, randomDAG(t, 11, "mixed", 36), 11),
+			run:  mixedModes(randomDAG(t, 11, "mixed", 36), 11),
 		},
 		releaseCase{
 			name: "max-inflight",
@@ -188,7 +188,7 @@ func releaseCases(t *testing.T, mode string) []releaseCase {
 			name: "hedges-and-retries",
 			prm:  func(p *config.Params) { p.JobFailureProb = 0.2 },
 			eng:  func(e *Engine) { e.Retry = retry; e.HedgeAfter = 4 * time.Second },
-			run:  mixedModes(t, randomDAG(t, 15, "stormy", 30), 15),
+			run:  mixedModes(randomDAG(t, 15, "stormy", 30), 15),
 		},
 		releaseCase{
 			name: "rescue-resume",
@@ -225,7 +225,6 @@ func releaseCases(t *testing.T, mode string) []releaseCase {
 				left := 2
 				done := sim.NewFuture[struct{}](s.env)
 				for i := range logs {
-					i := i
 					wf := randomDAG(t, uint64(18+i), fmt.Sprintf("wf%d", i), 35)
 					s.env.Go(wf.Name, func(wp *sim.Proc) {
 						res, err := s.eng.RunWorkflow(wp, wf, AssignAll(ModeNative))

@@ -264,7 +264,7 @@ func (w *Workflow) Validate() error {
 			for _, par := range pars {
 				stack = append(stack, w.index[par])
 			}
-			for len(stack) > 0 && !found {
+			for len(stack) > 0 {
 				a := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				if seen[a] == search {
