@@ -114,9 +114,9 @@ func (d *dagRun) markReady(i int) {
 // keeping) those whose retry backoff gate is still closed at now, until the
 // set is exhausted or the MaxInflight throttle (DAGMan -maxjobs) is
 // reached. started, when non-nil, is told of every new flight right after
-// its submission. This is exactly the seed's release scan over all tasks:
-// a task outside the ready set could never pass its readiness test, and
-// nothing a submission does changes another task's readiness.
+// its submission. It submits exactly what a scan over every task would: a
+// task outside the set cannot be ready, and no submission changes another
+// task's readiness.
 func (d *dagRun) submitReady(now time.Duration, started func(i int, f *flight)) error {
 	kept := d.ready[:0]
 	next := 0
