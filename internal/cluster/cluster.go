@@ -27,7 +27,11 @@ const RegistryNodeName = "registry"
 
 // Node is one machine of the testbed.
 type Node struct {
-	Name    string
+	Name string
+	// Index is the node's dense position in Cluster.AllNodes (the submit
+	// node is 0, workerN is N), assigned once by New. Substrates that keep
+	// per-node state index slices by it instead of hashing the name.
+	Index   int
 	Cores   int
 	MemMB   int
 	CPU     *fluid.Server
@@ -104,6 +108,7 @@ func New(env *sim.Env, p config.Params) *Cluster {
 		disk := storage.NewDisk(env, name, 500e6) // 500 MB/s local SSD
 		n := &Node{
 			Name:    name,
+			Index:   len(c.byName),
 			Cores:   p.CoresPerNode,
 			MemMB:   p.MemMBPerNode,
 			CPU:     fluid.New(env, "cpu:"+name, float64(p.CoresPerNode)),

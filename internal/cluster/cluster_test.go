@@ -30,6 +30,22 @@ func TestNewBuildsPaperTopology(t *testing.T) {
 	}
 }
 
+// TestNodeIndexIsDense: every node's Index is its position in AllNodes,
+// so workerN has index N and per-node state can live in a slice.
+func TestNodeIndexIsDense(t *testing.T) {
+	prm := config.Default()
+	prm.WorkerNodes = 7
+	c := New(sim.NewEnv(1), prm)
+	for i, n := range c.AllNodes() {
+		if n.Index != i {
+			t.Errorf("%s: index %d, want %d", n.Name, n.Index, i)
+		}
+	}
+	if w := c.MustNode("worker7"); w.Index != 7 {
+		t.Errorf("worker7: index %d, want 7", w.Index)
+	}
+}
+
 func TestNodeLookup(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, config.Default())

@@ -13,6 +13,7 @@ package condor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -144,6 +145,7 @@ type Schedd struct {
 	policy   sched.Policy
 	rrOffset int               // rotates tie-breaking among equally free startds
 	cands    []sched.Candidate // pickStartdFor's reusable candidate buffer
+	req      sched.Request     // pickStartdFor's reusable request
 	nextID   int
 	shadow   *sim.Semaphore // serializes shadow spawns at the schedd
 	rng      *sim.RNG
@@ -175,7 +177,7 @@ func New(env *sim.Env, cl *cluster.Cluster, prm config.Params) *Schedd {
 // no machine is permanently favoured.
 func (s *Schedd) policyFor(name string) sched.Policy {
 	filters := []sched.Filter{
-		sched.FilterFunc("online", func(_ sched.Request, c sched.Candidate) bool {
+		sched.FilterFunc("online", func(_ *sched.Request, c *sched.Candidate) bool {
 			return !c.Aux.(*startd).offline
 		}),
 		sched.SlotFree(),
@@ -217,8 +219,28 @@ func (s *Schedd) Start() {
 }
 
 // Shutdown stops the negotiator after its current cycle. Jobs already
-// matched run to completion; idle jobs stay idle forever.
+// matched run to completion; idle jobs stay idle forever unless removed.
 func (s *Schedd) Shutdown() { s.stopped = true }
+
+// Remove takes a job that has not been matched yet out of the queue, like
+// condor_rm: the job fails without running, its queue and job spans end
+// (the job span labelled status=removed), and Wait returns the error. A
+// matched job is left to run to completion. Remove reports whether it
+// removed the job.
+func (s *Schedd) Remove(j *Job) bool {
+	if j.status != StatusIdle {
+		return false
+	}
+	queued := func(q *Job) bool { return q == j }
+	s.idle = slices.DeleteFunc(s.idle, queued)
+	s.blocked = slices.DeleteFunc(s.blocked, queued)
+	j.status = StatusFailed
+	j.queue.End()
+	j.span.SetLabel("status", "removed")
+	j.span.End()
+	j.done.Set(fmt.Errorf("condor: job %d removed before it was matched", j.ID))
+	return true
+}
 
 // AttachFaults connects the pool to the fault injector: node crashes
 // (KindNodeCrash with a worker name as target) take the startd offline and
@@ -376,7 +398,7 @@ func (s *Schedd) SubmitJob(spec JobSpec) *Job {
 // tryMatch (per-job mode) claims a slot for the job or parks it until one
 // frees, in priority order.
 func (s *Schedd) tryMatch(j *Job) {
-	if s.stopped {
+	if s.stopped || j.status != StatusIdle { // removed while awaiting negotiation
 		return
 	}
 	sd, dec := s.pickStartdFor(j)
@@ -494,18 +516,20 @@ func jobRequest(j *Job) sched.Request {
 // or not — exactly as the seed matchmaker did, so the round-robin stream is
 // unchanged.
 //
-// The candidate buffer is the Schedd's and is rebuilt on every pick, so the
-// returned Decision (whose Winner points into it) is valid only until the
-// next pick. Every caller consumes it first: it either drops the decision
-// or passes it straight to dispatch, which records it through sched.Record
-// before any other pick can run.
+// The candidate buffer and request are the Schedd's and are rebuilt on
+// every pick (a fresh request per pick would escape to the heap through the
+// policy's plugins), so the returned Decision (whose Winner points into the
+// buffer) is valid only until the next pick. Every caller consumes it
+// first: it either drops the decision or passes it straight to dispatch,
+// which records it through sched.Record before any other pick can run.
 func (s *Schedd) pickStartdFor(j *Job) (*startd, sched.Decision) {
 	s.rrOffset++
 	s.cands = s.cands[:0]
 	for _, sd := range s.startds {
 		s.cands = append(s.cands, sched.Candidate{Name: sd.node.Name, Node: sd.node, Free: sd.free, Aux: sd})
 	}
-	d := s.policy.Pick(jobRequest(j), s.cands, s.rrOffset)
+	s.req = jobRequest(j)
+	d := s.policy.Pick(&s.req, s.cands, s.rrOffset)
 	if d.Winner == nil {
 		return nil, d
 	}

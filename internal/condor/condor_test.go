@@ -424,3 +424,64 @@ func TestShutdownStopsNegotiator(t *testing.T) {
 		t.Errorf("%d processes alive after shutdown", f.env.Alive())
 	}
 }
+
+// TestRemoveQueuedJobs: Remove (condor_rm) takes idle and blocked jobs out
+// of the queue in both negotiation models, failing their futures so
+// waiters return; a removed job never runs, a matched job cannot be
+// removed, and the freed queue position goes to the next job.
+func TestRemoveQueuedJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*config.Params)
+	}{{"per-job", fastPerJob}, {"cycle", fastCycle}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, func(p *config.Params) {
+				tc.mut(p)
+				p.WorkerNodes = 1
+				p.CoresPerNode = 1 // a single slot
+			})
+			ran := map[string]bool{}
+			job := func(name string) *Job {
+				return f.s.Submit(name, 0, 0, func(ctx *ExecContext) error {
+					ran[name] = true
+					ctx.Proc.Sleep(10 * time.Second)
+					return nil
+				})
+			}
+			f.env.Go("main", func(p *sim.Proc) {
+				hold, blocked, idle, next := job("hold"), job("blocked"), job("idle"), job("next")
+				if !f.s.Remove(idle) { // before its first negotiation
+					t.Error("idle job not removed")
+				}
+				p.Sleep(5 * time.Second) // hold runs; blocked and next wait
+				if f.s.Remove(hold) {
+					t.Error("running job removed")
+				}
+				if !f.s.Remove(blocked) {
+					t.Error("waiting job not removed")
+				}
+				if f.s.Remove(blocked) {
+					t.Error("job removed twice")
+				}
+				for _, j := range []*Job{idle, blocked} {
+					if err := f.s.Wait(p, j); err == nil || j.Status() != StatusFailed {
+						t.Errorf("%s: Wait = %v, status %v; want an error and Failed", j.Name, err, j.Status())
+					}
+				}
+				for _, j := range []*Job{hold, next} {
+					if err := f.s.Wait(p, j); err != nil {
+						t.Errorf("%s: %v", j.Name, err)
+					}
+				}
+				f.s.Shutdown()
+			})
+			f.env.Run()
+			if ran["idle"] || ran["blocked"] || !ran["hold"] || !ran["next"] {
+				t.Errorf("jobs run: %v, want hold and next only", ran)
+			}
+			if f.s.QueueDepth() != 0 || f.env.Alive() != 0 {
+				t.Errorf("queue depth %d, %d processes alive after drain", f.s.QueueDepth(), f.env.Alive())
+			}
+		})
+	}
+}

@@ -17,7 +17,7 @@ import (
 // pickAvailable must choose exactly what Pick over this policy chooses.
 func referencePolicy(s *Service) sched.Policy {
 	filters := []sched.Filter{
-		sched.FilterFunc("ready-capacity", func(_ sched.Request, c sched.Candidate) bool {
+		sched.FilterFunc("ready-capacity", func(_ *sched.Request, c *sched.Candidate) bool {
 			return c.Aux.(*podHandle).ready() && c.Free > 0
 		}),
 	}
@@ -26,13 +26,13 @@ func referencePolicy(s *Service) sched.Policy {
 	switch s.spec.Routing {
 	case RouteLeastNodeLoad:
 		name = "least-node-load"
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
+		score = sched.ScoreFunc(name, 1, func(_ *sched.Request, c *sched.Candidate) float64 {
 			h := c.Aux.(*podHandle)
 			node := s.kn.cl.MustNode(h.pod.NodeName)
 			return -(float64(node.CPU.Load())*1e6 + float64(h.inFlight))
 		})
 	default:
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
+		score = sched.ScoreFunc(name, 1, func(_ *sched.Request, c *sched.Candidate) float64 {
 			return -float64(c.Aux.(*podHandle).inFlight)
 		})
 	}
@@ -51,7 +51,7 @@ func referencePick(s *Service, offset int) (sched.Policy, sched.Request, sched.D
 	for i, h := range s.pods {
 		cands[i] = sched.Candidate{Name: h.pod.NodeName, Free: s.slots() - h.inFlight, Aux: h}
 	}
-	return pol, req, pol.Pick(req, cands, offset)
+	return pol, req, pol.Pick(&req, cands, offset)
 }
 
 // withRoutingPool deploys six ready replicas, loads the workers' CPUs

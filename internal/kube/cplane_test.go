@@ -176,7 +176,7 @@ func TestDeletePodDelayedTeardown(t *testing.T) {
 		}
 		node := pod.NodeName
 		f.k.DeletePod("fn-1")
-		if got := f.k.requestedCPU(node); got != 0 {
+		if got := f.k.slot(node).reqCPU; got != 0 {
 			t.Errorf("requested CPU on %s = %v right after delete, want 0", node, got)
 		}
 		if pod.Phase() == PhaseDead {

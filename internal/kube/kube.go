@@ -122,40 +122,53 @@ type nodeShape struct {
 	memMB int
 }
 
+// nodeSlot is the control plane's state for one node — kube-scheduler's
+// NodeInfo snapshot. The scheduler's filter and score plugins read it by
+// the candidate's dense index, so a placement hashes no node names.
+type nodeSlot struct {
+	node *cluster.Node
+	q    *sim.Chan[podOp] // the kubelet's work queue
+	rt   *crt.Runtime     // the node's container runtime, nil if none
+	// reqCPU and pods are the requested CPU and the count of the node's
+	// live pods, maintained on bind/unbind (O(1) per decision, replacing
+	// the seed's O(nodes×pods) rescans — requestedScan and podsOnNodeScan
+	// remain as the test oracles).
+	reqCPU   float64
+	pods     int
+	cordoned bool
+}
+
 // Kube is the control plane plus its kubelets.
 type Kube struct {
-	env      *sim.Env
-	cl       *cluster.Cluster
-	prm      config.Params
-	cp       *cplane.Plane
-	runtimes map[string]*crt.Runtime
-	pods     map[string]*Pod
-	schedQ   *sim.Chan[*Pod]
-	nodeQ    map[string]*sim.Chan[podOp]
-	nodes    map[string]*cluster.Node
-	cordoned map[string]bool
-	faults   *faults.Injector
-	started  bool
-	stopped  bool
+	env     *sim.Env
+	cl      *cluster.Cluster
+	prm     config.Params
+	cp      *cplane.Plane
+	pods    map[string]*Pod
+	schedQ  *sim.Chan[*Pod]
+	faults  *faults.Injector
+	started bool
+	stopped bool
 
-	// Placement: the policy picks among cands (the workers in stable order);
-	// reqCPU/reqMemMB hold per-node requested resources maintained on
-	// bind/unbind (O(1) per decision, replacing the seed's O(nodes×pods)
-	// rescan — requestedScan remains as the test oracle); podsOn is the
-	// equivalent O(1) live-pod count behind PodsOnNode (oracle:
-	// podsOnNodeScan); shapes backs fitsEver; pending holds pods that fit no
-	// node right now, re-queued when capacity frees — but only when the
-	// freed node could actually take one (pendMinCPU/pendMinMem are
-	// conservative per-dimension minima over the pending pods' requests, so
-	// a deletion storm of small pods cannot trigger quadratic rescans of an
-	// unsatisfiable pending set). schedOffset rotates the sampling window
-	// when SchedSamplePercent is set; picks counts Policy.Pick calls for the
-	// regression tests.
+	// nodes holds one slot per cluster node, indexed by cluster.Node.Index;
+	// the submit node's slot (index 0) stays empty, as it runs no pods.
+	// byName resolves the worker names the public calls take.
+	nodes  []nodeSlot
+	byName map[string]int
+
+	// Placement: the policy picks among cands (the workers in stable order,
+	// each carrying its node index) for req, one Request reused across
+	// picks so the plugins' pointer to it costs no allocation; shapes backs
+	// fitsEver; pending holds pods that fit no node right now, re-queued
+	// when capacity frees — but only when the freed node could actually
+	// take one (pendMinCPU/pendMinMem are conservative per-dimension minima
+	// over the pending pods' requests, so a deletion storm of small pods
+	// cannot trigger quadratic rescans of an unsatisfiable pending set).
+	// schedOffset rotates the sampling window when SchedSamplePercent is
+	// set; picks counts Policy.Pick calls for the regression tests.
 	policy      sched.Policy
 	cands       []sched.Candidate
-	reqCPU      map[string]float64
-	reqMemMB    map[string]int
-	podsOn      map[string]int
+	req         sched.Request
 	shapes      []nodeShape
 	pending     []*Pod
 	pendMinCPU  float64
@@ -171,24 +184,20 @@ type Kube struct {
 // them.
 func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params) *Kube {
 	k := &Kube{
-		env:      env,
-		cl:       cl,
-		prm:      prm,
-		cp:       cplane.New(env, prm),
-		runtimes: runtimes,
-		pods:     make(map[string]*Pod),
-		schedQ:   sim.NewUnbounded[*Pod](env),
-		nodeQ:    make(map[string]*sim.Chan[podOp]),
-		nodes:    make(map[string]*cluster.Node),
-		cordoned: make(map[string]bool),
-		reqCPU:   make(map[string]float64),
-		reqMemMB: make(map[string]int),
-		podsOn:   make(map[string]int),
+		env:    env,
+		cl:     cl,
+		prm:    prm,
+		cp:     cplane.New(env, prm),
+		pods:   make(map[string]*Pod),
+		schedQ: sim.NewUnbounded[*Pod](env),
+		nodes:  make([]nodeSlot, 1+len(cl.Workers)),
+		byName: make(map[string]int, len(cl.Workers)),
+		cands:  make([]sched.Candidate, 0, len(cl.Workers)),
 	}
 	for _, w := range cl.Workers {
-		k.nodeQ[w.Name] = sim.NewUnbounded[podOp](env)
-		k.nodes[w.Name] = w
-		k.cands = append(k.cands, sched.Candidate{Name: w.Name, Node: w})
+		k.nodes[w.Index] = nodeSlot{node: w, q: sim.NewUnbounded[podOp](env), rt: runtimes[w.Name]}
+		k.byName[w.Name] = w.Index
+		k.cands = append(k.cands, sched.Candidate{Name: w.Name, Index: w.Index, Node: w})
 		shape := nodeShape{cores: w.Cores, memMB: w.MemMB}
 		known := false
 		for _, s := range k.shapes {
@@ -213,21 +222,22 @@ func (k *Kube) ControlPlane() *cplane.Plane { return k.cp }
 // state. The empty name selects the seed scheduler's behaviour:
 // least-requested CPU with stable node-order tie-breaking.
 func (k *Kube) policyFor(name string) sched.Policy {
+	requested := func(i int) float64 { return k.nodes[i].reqCPU }
 	filters := []sched.Filter{
-		sched.Cordoned(func(n string) bool { return k.cordoned[n] }),
+		sched.Cordoned(func(i int) bool { return k.nodes[i].cordoned }),
 		sched.MemFit(),
-		sched.CPUFit(k.requestedCPU),
+		sched.CPUFit(requested),
 	}
-	tie := sched.LeastRequested(k.requestedCPU)
+	tie := sched.LeastRequested(requested)
 	var scores []sched.Score
 	switch name {
 	case "", sched.PolicyLeastRequested:
 		name = sched.PolicyLeastRequested
 		scores = []sched.Score{tie}
 	case sched.PolicyBinPack:
-		scores = []sched.Score{sched.BinPack(k.requestedCPU)}
+		scores = []sched.Score{sched.BinPack(requested)}
 	case sched.PolicySpread:
-		scores = []sched.Score{sched.Spread(k.PodsOnNode)}
+		scores = []sched.Score{sched.Spread(func(i int) int { return k.nodes[i].pods })}
 	case sched.PolicyImageLocality:
 		// Image presence dominates. Ties break by bin-packing, not
 		// spreading: a scale-up burst binds its pods before the first pull
@@ -235,12 +245,12 @@ func (k *Kube) policyFor(name string) sched.Policy {
 		// pods would seed pulls everywhere — packing keeps the image, and
 		// every later placement, on as few nodes as the CPU/mem filters
 		// allow.
-		im := sched.ImageLocality(func(node, image string) bool {
-			rt := k.runtimes[node]
+		im := sched.ImageLocality(func(i int, image string) bool {
+			rt := k.nodes[i].rt
 			return rt != nil && rt.HasImage(image)
 		})
 		im.Weight = 1000
-		scores = []sched.Score{im, sched.BinPack(k.requestedCPU)}
+		scores = []sched.Score{im, sched.BinPack(requested)}
 	default:
 		panic(fmt.Sprintf("kube: unknown placement policy %q", name))
 	}
@@ -252,8 +262,21 @@ func (k *Kube) policyFor(name string) sched.Policy {
 }
 
 // Runtime exposes a node's container runtime (used to pre-pull images and
-// by tests).
-func (k *Kube) Runtime(node string) *crt.Runtime { return k.runtimes[node] }
+// by tests), nil for an unknown node.
+func (k *Kube) Runtime(node string) *crt.Runtime {
+	if s := k.slot(node); s != nil {
+		return s.rt
+	}
+	return nil
+}
+
+// slot resolves a worker name to its node slot, nil for an unknown name.
+func (k *Kube) slot(node string) *nodeSlot {
+	if i, ok := k.byName[node]; ok {
+		return &k.nodes[i]
+	}
+	return nil
+}
 
 // Workers returns the schedulable node names in stable order.
 func (k *Kube) Workers() []string {
@@ -284,8 +307,8 @@ func (k *Kube) Start() {
 func (k *Kube) Shutdown() {
 	k.stopped = true
 	k.schedQ.Close()
-	for _, q := range k.nodeQ {
-		q.Close()
+	for _, w := range k.cl.Workers {
+		k.nodes[w.Index].q.Close()
 	}
 }
 
@@ -318,15 +341,15 @@ func (k *Kube) DeletePod(name string) {
 	pod.ready = false
 	if pod.NodeName != "" {
 		k.unbind(pod)
-		k.deliver(pod.NodeName, podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
+		k.deliver(k.slot(pod.NodeName), podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
 	}
 }
 
 // deliver hands a pod operation to a node's kubelet after the control
 // plane's propagation delay. The zero-delay path is the seed's in-process
 // send — no event is scheduled, so inactive planes stay byte-identical.
-func (k *Kube) deliver(node string, op podOp, delay time.Duration) {
-	q := k.nodeQ[node]
+func (k *Kube) deliver(s *nodeSlot, op podOp, delay time.Duration) {
+	q := s.q
 	if delay <= 0 {
 		q.TrySend(op)
 		return
@@ -345,7 +368,7 @@ func (k *Kube) deliver(node string, op podOp, delay time.Duration) {
 func (k *Kube) AttachFaults(in *faults.Injector) {
 	k.faults = in
 	in.OnFault(faults.KindNodeCrash, func(f faults.Fault, begin bool) {
-		if _, known := k.nodeQ[f.Target]; !known {
+		if k.slot(f.Target) == nil {
 			return
 		}
 		if begin {
@@ -356,12 +379,19 @@ func (k *Kube) AttachFaults(in *faults.Injector) {
 	})
 }
 
-// CordonNode marks a node unschedulable (kubectl cordon).
-func (k *Kube) CordonNode(name string) { k.cordoned[name] = true }
+// CordonNode marks a node unschedulable (kubectl cordon). Unknown names
+// are ignored.
+func (k *Kube) CordonNode(name string) {
+	if s := k.slot(name); s != nil {
+		s.cordoned = true
+	}
+}
 
 // UncordonNode makes a node schedulable again and retries pending pods.
 func (k *Kube) UncordonNode(name string) {
-	delete(k.cordoned, name)
+	if s := k.slot(name); s != nil {
+		s.cordoned = false
+	}
 	k.kickPending()
 }
 
@@ -390,10 +420,15 @@ func (k *Kube) WaitReady(p *sim.Proc, pod *Pod) error {
 }
 
 // PodsOnNode counts live pods bound to a node, from the O(1) accounting
-// maintained on bind/unbind (oracle: podsOnNodeScan). The Spread score
-// calls this once per candidate per placement, so the seed's store rescan
-// made spread placements O(nodes×pods).
-func (k *Kube) PodsOnNode(node string) int { return k.podsOn[node] }
+// maintained on bind/unbind (oracle: podsOnNodeScan) — the count the Spread
+// score reads by node index once per candidate per placement, where the
+// seed's store rescan made spread placements O(nodes×pods).
+func (k *Kube) PodsOnNode(node string) int {
+	if s := k.slot(node); s != nil {
+		return s.pods
+	}
+	return 0
+}
 
 // podsOnNodeScan recomputes PodsOnNode by rescanning the pod store — the
 // seed algorithm, kept as the oracle the accounting is asserted against in
@@ -437,10 +472,11 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 			k.addPending(pod)
 			continue
 		}
-		k.bind(pod, node.Name)
+		s := &k.nodes[node.Index]
+		k.bind(pod, s)
 		sched.Record(trace.FromEnv(k.env), nil, "kube", k.policy, podRequest(pod.Spec), dec)
 		p.Tracef("bound pod %s to %s", pod.Spec.Name, node.Name)
-		k.deliver(node.Name, podOp{pod: pod}, k.cp.BindDelay())
+		k.deliver(s, podOp{pod: pod}, k.cp.BindDelay())
 	}
 }
 
@@ -458,7 +494,8 @@ func (k *Kube) pickNode(spec PodSpec) (*cluster.Node, sched.Decision) {
 		offset = k.schedOffset
 		k.schedOffset++
 	}
-	d := k.policy.Pick(podRequest(spec), k.cands, offset)
+	k.req = podRequest(spec)
+	d := k.policy.Pick(&k.req, k.cands, offset)
 	if d.Winner == nil {
 		return nil, d
 	}
@@ -484,13 +521,12 @@ func (k *Kube) fitsEver(spec PodSpec) bool {
 
 // bind assigns the pod to a node and charges its requests to the node's
 // accounting.
-func (k *Kube) bind(pod *Pod, node string) {
-	pod.NodeName = node
+func (k *Kube) bind(pod *Pod, s *nodeSlot) {
+	pod.NodeName = s.node.Name
 	pod.phase = PhaseScheduled
 	pod.accounted = true
-	k.reqCPU[node] += pod.Spec.CPURequest
-	k.reqMemMB[node] += pod.Spec.MemMB
-	k.podsOn[node]++
+	s.reqCPU += pod.Spec.CPURequest
+	s.pods++
 }
 
 // unbind releases a bound pod's requested resources (idempotent via the
@@ -501,10 +537,10 @@ func (k *Kube) unbind(pod *Pod) {
 		return
 	}
 	pod.accounted = false
-	k.reqCPU[pod.NodeName] -= pod.Spec.CPURequest
-	k.reqMemMB[pod.NodeName] -= pod.Spec.MemMB
-	k.podsOn[pod.NodeName]--
-	k.kickPendingFor(pod.NodeName)
+	s := k.slot(pod.NodeName)
+	s.reqCPU -= pod.Spec.CPURequest
+	s.pods--
+	k.kickPendingFor(s)
 }
 
 // addPending records a pod that fits no node right now and folds its
@@ -529,20 +565,18 @@ func (k *Kube) addPending(pod *Pod) {
 // pod: a pod the filters would accept on this node necessarily clears both
 // minima. A deletion storm of small pods against an unsatisfiable pending
 // set therefore triggers zero rescans instead of deletions×pending Picks.
-func (k *Kube) kickPendingFor(node string) {
+func (k *Kube) kickPendingFor(s *nodeSlot) {
 	if len(k.pending) == 0 {
 		return
 	}
-	if k.cordoned[node] {
+	if s.cordoned {
 		return // freed capacity is unschedulable until uncordon, which kicks
 	}
-	if n := k.nodes[node]; n != nil {
-		if float64(n.Cores)-k.reqCPU[node] < k.pendMinCPU {
-			return
-		}
-		if n.MemMB-n.MemUsedMB() < k.pendMinMem {
-			return
-		}
+	if float64(s.node.Cores)-s.reqCPU < k.pendMinCPU {
+		return
+	}
+	if s.node.MemMB-s.node.MemUsedMB() < k.pendMinMem {
+		return
 	}
 	k.kickPending()
 }
@@ -562,26 +596,22 @@ func (k *Kube) kickPending() {
 	}
 }
 
-// requestedCPU returns the node's requested CPU in cores from the per-node
-// accounting.
-func (k *Kube) requestedCPU(node string) float64 { return k.reqCPU[node] }
-
-// requestedScan recomputes a node's requested CPU and memory by rescanning
-// the pod store — the seed algorithm, kept as the oracle the incremental
+// requestedScan recomputes a node's requested CPU by rescanning the pod
+// store — the seed algorithm, kept as the oracle the incremental
 // accounting is asserted against in tests.
-func (k *Kube) requestedScan(node string) (cpu float64, memMB int) {
+func (k *Kube) requestedScan(node string) float64 {
+	cpu := 0.0
 	for _, pod := range k.pods {
 		if pod.NodeName == node && pod.phase != PhaseDead && pod.phase != PhaseFailed {
 			cpu += pod.Spec.CPURequest
-			memMB += pod.Spec.MemMB
 		}
 	}
-	return cpu, memMB
+	return cpu
 }
 
 // kubeletLoop reconciles pods bound to one node.
 func (k *Kube) kubeletLoop(p *sim.Proc, node *cluster.Node) {
-	q := k.nodeQ[node.Name]
+	q := k.nodes[node.Index].q
 	for {
 		op, ok := q.Recv(p)
 		if !ok {
@@ -626,7 +656,7 @@ func (k *Kube) bringUp(p *sim.Proc, pod *Pod, node *cluster.Node) {
 		return
 	}
 	pod.phase = PhaseStarting
-	rt := k.runtimes[node.Name]
+	rt := k.nodes[node.Index].rt
 	if err := rt.PullImage(p, pod.Spec.Image); err != nil {
 		node.ReleaseMem(pod.Spec.MemMB)
 		fail(err)
@@ -701,5 +731,5 @@ func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {
 	pod.phase = PhaseDead
 	pod.ready = false
 	k.unbind(pod) // normally already unbound at DeletePod; idempotent
-	k.kickPendingFor(node.Name)
+	k.kickPendingFor(&k.nodes[node.Index])
 }

@@ -9,17 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// assertAccounting checks the O(1) per-node requested-resource accounting
-// against the full pod-store rescan (the seed algorithm) on every worker.
+// assertAccounting checks the O(1) per-node requested-CPU and pod-count
+// accounting against the full pod-store rescans (the seed algorithm) on
+// every worker.
 func assertAccounting(t *testing.T, f *fixture, when string) {
 	t.Helper()
 	for _, w := range f.cl.Workers {
-		cpu, mem := f.k.requestedScan(w.Name)
-		if math.Abs(f.k.requestedCPU(w.Name)-cpu) > 1e-9 {
-			t.Errorf("%s: %s: accounted CPU %v != rescan %v", when, w.Name, f.k.requestedCPU(w.Name), cpu)
-		}
-		if f.k.reqMemMB[w.Name] != mem {
-			t.Errorf("%s: %s: accounted mem %d != rescan %d", when, w.Name, f.k.reqMemMB[w.Name], mem)
+		cpu := f.k.requestedScan(w.Name)
+		if got := f.k.nodes[w.Index].reqCPU; math.Abs(got-cpu) > 1e-9 {
+			t.Errorf("%s: %s: accounted CPU %v != rescan %v", when, w.Name, got, cpu)
 		}
 		if got, want := f.k.PodsOnNode(w.Name), f.k.podsOnNodeScan(w.Name); got != want {
 			t.Errorf("%s: %s: accounted pod count %d != rescan %d", when, w.Name, got, want)

@@ -10,7 +10,7 @@ import (
 func samplePolicy(percent int) Policy {
 	return Policy{
 		Name:          "sample-test",
-		Scores:        []Score{{Name: "flat", Eval: func(Request, Candidate) float64 { return 1 }}},
+		Scores:        []Score{{Name: "flat", Eval: func(*Request, *Candidate) float64 { return 1 }}},
 		SamplePercent: percent,
 	}
 }
@@ -26,7 +26,8 @@ func candidateList(n int) []Candidate {
 // TestSamplingStopsEarly: with 1000 candidates at 20%, Pick scores exactly
 // 200 feasible candidates and stops — the sweep's O(sample) placement.
 func TestSamplingStopsEarly(t *testing.T) {
-	d := samplePolicy(20).Pick(Request{}, candidateList(1000), 0)
+	pol := samplePolicy(20)
+	d := pol.Pick(&Request{}, candidateList(1000), 0)
 	if d.Visited != 200 || d.Feasible != 200 {
 		t.Errorf("visited %d feasible %d, want 200/200", d.Visited, d.Feasible)
 	}
@@ -38,7 +39,8 @@ func TestSamplingStopsEarly(t *testing.T) {
 // TestSamplingFloor: the MinFeasibleToScore floor keeps small samples
 // honest — 10% of 500 is 50, but Pick still scores 100.
 func TestSamplingFloor(t *testing.T) {
-	d := samplePolicy(10).Pick(Request{}, candidateList(500), 0)
+	pol := samplePolicy(10)
+	d := pol.Pick(&Request{}, candidateList(500), 0)
 	if d.Feasible != MinFeasibleToScore {
 		t.Errorf("feasible %d, want floor %d", d.Feasible, MinFeasibleToScore)
 	}
@@ -48,7 +50,8 @@ func TestSamplingFloor(t *testing.T) {
 // nothing — every candidate is scored, exactly like SamplePercent 0.
 func TestSamplingSmallClusterExhaustive(t *testing.T) {
 	for _, pct := range []int{0, 10, 100} {
-		d := samplePolicy(pct).Pick(Request{}, candidateList(50), 0)
+		pol := samplePolicy(pct)
+		d := pol.Pick(&Request{}, candidateList(50), 0)
 		if d.Visited != 50 || d.Feasible != 50 {
 			t.Errorf("pct %d: visited %d feasible %d, want 50/50", pct, d.Visited, d.Feasible)
 		}
@@ -61,8 +64,8 @@ func TestSamplingSmallClusterExhaustive(t *testing.T) {
 func TestSamplingRotation(t *testing.T) {
 	cands := candidateList(1000)
 	pol := samplePolicy(10)
-	a := pol.Pick(Request{}, cands, 0)
-	b := pol.Pick(Request{}, cands, 700)
+	a := pol.Pick(&Request{}, cands, 0)
+	b := pol.Pick(&Request{}, cands, 700)
 	if a.Winner.Name != "node-0000" || b.Winner.Name != "node-0700" {
 		t.Errorf("winners %s / %s, want node-0000 / node-0700", a.Winner.Name, b.Winner.Name)
 	}
@@ -72,10 +75,10 @@ func TestSamplingRotation(t *testing.T) {
 // the target — Pick keeps visiting until it has scored enough feasible ones.
 func TestSamplingSkipsInfeasible(t *testing.T) {
 	pol := samplePolicy(10)
-	pol.Filters = []Filter{{Name: "odd-only", Fit: func(_ Request, c Candidate) bool {
+	pol.Filters = []Filter{{Name: "odd-only", Fit: func(_ *Request, c *Candidate) bool {
 		return c.Name[len(c.Name)-1]%2 == 1
 	}}}
-	d := pol.Pick(Request{}, candidateList(1000), 0)
+	d := pol.Pick(&Request{}, candidateList(1000), 0)
 	if d.Feasible != 100 {
 		t.Errorf("feasible %d, want 100", d.Feasible)
 	}
@@ -87,11 +90,11 @@ func TestSamplingSkipsInfeasible(t *testing.T) {
 // TestSamplePercentValidated: out-of-range percentages fail Validate.
 func TestSamplePercentValidated(t *testing.T) {
 	for _, pct := range []int{-1, 101} {
-		if err := samplePolicy(pct).Validate(); err == nil {
+		if pol := samplePolicy(pct); pol.Validate() == nil {
 			t.Errorf("Validate accepted SamplePercent %d", pct)
 		}
 	}
-	if err := samplePolicy(50).Validate(); err != nil {
-		t.Errorf("Validate rejected SamplePercent 50: %v", err)
+	if pol := samplePolicy(50); pol.Validate() != nil {
+		t.Errorf("Validate rejected SamplePercent 50: %v", pol.Validate())
 	}
 }

@@ -40,6 +40,11 @@ import (
 type Candidate struct {
 	// Name identifies the target (node name, replica/pod name).
 	Name string
+	// Index is the target's dense index in the consumer's own per-target
+	// state (kube passes cluster.Node.Index), so index-keyed plugins read
+	// that state from a slice instead of hashing Name. Consumers whose
+	// plugins do not use it leave it zero.
+	Index int
 	// Node is the underlying machine. It may be nil for candidates that are
 	// not yet bound to a machine (a replica still Pending); such candidates
 	// should be excluded by a Filter before any Node-dependent Score runs.
@@ -72,11 +77,15 @@ type Request struct {
 }
 
 // Filter is a feasibility plugin: it rules candidates in or out.
+//
+// Plugins receive pointers into Pick's arguments so a call copies neither
+// struct. The pointers are valid only for the call: a plugin must not
+// modify what they point to or keep them after it returns.
 type Filter struct {
 	// Name identifies the plugin in traces and diagnostics.
 	Name string
 	// Fit reports whether the candidate can take the request.
-	Fit func(req Request, c Candidate) bool
+	Fit func(req *Request, c *Candidate) bool
 }
 
 // Score is a ranking plugin: higher is better. Scores are multiplied by
@@ -88,7 +97,7 @@ type Score struct {
 	// Weight scales this plugin against the others (0 is treated as 1).
 	Weight float64
 	// Eval returns the raw plugin score for a feasible candidate.
-	Eval func(req Request, c Candidate) float64
+	Eval func(req *Request, c *Candidate) float64
 }
 
 // MinFeasibleToScore is the sampling floor: a sampling Policy never settles
@@ -135,7 +144,7 @@ type Decision struct {
 }
 
 // weight resolves a Score's effective weight (zero value means 1).
-func (s Score) weight() float64 {
+func (s *Score) weight() float64 {
 	if s.Weight == 0 {
 		return 1
 	}
@@ -143,18 +152,19 @@ func (s Score) weight() float64 {
 }
 
 // total computes the weighted score of one candidate.
-func (p Policy) total(req Request, c Candidate) float64 {
+func (p *Policy) total(req *Request, c *Candidate) float64 {
 	sum := 0.0
-	for _, s := range p.Scores {
+	for i := range p.Scores {
+		s := &p.Scores[i]
 		sum += s.weight() * s.Eval(req, c)
 	}
 	return sum
 }
 
 // feasible reports whether the candidate passes every filter.
-func (p Policy) feasible(req Request, c Candidate) bool {
-	for _, f := range p.Filters {
-		if !f.Fit(req, c) {
+func (p *Policy) feasible(req *Request, c *Candidate) bool {
+	for i := range p.Filters {
+		if !p.Filters[i].Fit(req, c) {
 			return false
 		}
 	}
@@ -163,7 +173,7 @@ func (p Policy) feasible(req Request, c Candidate) bool {
 
 // sampleTarget returns how many feasible candidates Pick should score out
 // of n before stopping early, or n when sampling is off.
-func (p Policy) sampleTarget(n int) int {
+func (p *Policy) sampleTarget(n int) int {
 	if p.SamplePercent <= 0 || p.SamplePercent >= 100 {
 		return n
 	}
@@ -185,8 +195,13 @@ func (p Policy) sampleTarget(n int) int {
 // incrementing counter get round-robin rotation among equals. A sampling
 // policy (SamplePercent in (0,100)) stops visiting once it has scored its
 // feasible target, trading global optimality for O(sample) placements; the
-// choice remains a pure function of (policy, cands, offset).
-func (p Policy) Pick(req Request, cands []Candidate, offset int) Decision {
+// choice remains a pure function of (policy, req, cands, offset).
+//
+// Plugins see req and &cands[i] directly. Because the plugins are opaque
+// function values, req escapes to the heap: a caller placing in a loop
+// should reuse one Request rather than take the address of a fresh local
+// per call.
+func (p *Policy) Pick(req *Request, cands []Candidate, offset int) Decision {
 	var d Decision
 	n := len(cands)
 	if n == 0 {
@@ -198,19 +213,22 @@ func (p Policy) Pick(req Request, cands []Candidate, offset int) Decision {
 	target := p.sampleTarget(n)
 	best := -1
 	bestScore := 0.0
+	idx := offset % n
 	for i := 0; i < n; i++ {
-		idx := (i + offset) % n
+		c := &cands[idx]
 		d.Visited++
-		if !p.feasible(req, cands[idx]) {
-			continue
+		if p.feasible(req, c) {
+			d.Feasible++
+			score := p.total(req, c)
+			if best < 0 || score > bestScore {
+				best, bestScore = idx, score
+			}
+			if d.Feasible >= target {
+				break
+			}
 		}
-		d.Feasible++
-		score := p.total(req, cands[idx])
-		if best < 0 || score > bestScore {
-			best, bestScore = idx, score
-		}
-		if d.Feasible >= target {
-			break
+		if idx++; idx == n {
+			idx = 0
 		}
 	}
 	if best < 0 {
@@ -218,8 +236,10 @@ func (p Policy) Pick(req Request, cands []Candidate, offset int) Decision {
 	}
 	d.Winner = &cands[best]
 	d.Score = bestScore
-	for _, s := range p.Scores {
-		d.PerPlugin = append(d.PerPlugin, PluginScore{Plugin: s.Name, Value: s.Eval(req, cands[best])})
+	d.PerPlugin = make([]PluginScore, len(p.Scores))
+	for i := range p.Scores {
+		s := &p.Scores[i]
+		d.PerPlugin[i] = PluginScore{Plugin: s.Name, Value: s.Eval(req, d.Winner)}
 	}
 	return d
 }
@@ -254,7 +274,7 @@ func Record(tr *trace.Tracer, parent *trace.Span, layer string, p Policy, req Re
 // Validate checks a policy is well-formed (a name, at least one score, and
 // no nil plugin functions) — called once at consumer construction time so a
 // misconfigured policy fails fast instead of mid-simulation.
-func (p Policy) Validate() error {
+func (p *Policy) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("sched: policy has no name")
 	}

@@ -293,8 +293,17 @@ func (d *dagRun) failAttempt(p *sim.Proc, i int, f *flight) (time.Duration, *Abo
 }
 
 // deadlineAbort builds the AbortError for a run that outlived its deadline.
+// The run's in-flight copies still waiting in the condor queue are removed
+// (condor_rm): work past the deadline is dropped, as the serving layer
+// drops invocations past it, and nothing would observe their results.
+// Matched copies run on and are discarded, as after any abort.
 func (d *dagRun) deadlineAbort() *AbortError {
 	d.wfSpan.SetLabel("status", "aborted")
+	for _, i := range d.flying {
+		for _, job := range d.inflight[i].jobs {
+			d.e.Pool.Remove(job)
+		}
+	}
 	return &AbortError{
 		Reason: AbortDeadline,
 		Rescue: d.e.buildRescue(d.wf, d.res, "", d.abandonedJobs()),

@@ -246,31 +246,77 @@ func releaseCases(t *testing.T, mode string) []releaseCase {
 	return cases
 }
 
+// runRelease runs one scenario on a fresh traced stack until the
+// simulation drains, returning the stack, the scenario's log, and the tracer.
+func runRelease(t *testing.T, tc releaseCase) (*stack, *bytes.Buffer, *trace.Tracer) {
+	s := newModeStack(t, tc.mode, func(p *config.Params) {
+		p.TaskJitterFrac = 0.3
+		if tc.prm != nil {
+			tc.prm(p)
+		}
+	})
+	if tc.eng != nil {
+		tc.eng(s.eng)
+	}
+	tr := trace.New(s.env)
+	var log bytes.Buffer
+	s.env.Go("main", func(p *sim.Proc) {
+		defer s.shutdown()
+		tc.run(t, s, p, &log)
+	})
+	s.env.Run()
+	return s, &log, tr
+}
+
 // replayRelease runs every scenario and renders the golden text.
 func replayRelease(t *testing.T, cases []releaseCase) []byte {
 	var out bytes.Buffer
 	for _, tc := range cases {
-		s := newModeStack(t, tc.mode, func(p *config.Params) {
-			p.TaskJitterFrac = 0.3
-			if tc.prm != nil {
-				tc.prm(p)
-			}
-		})
-		if tc.eng != nil {
-			tc.eng(s.eng)
-		}
-		tr := trace.New(s.env)
-		var log bytes.Buffer
-		s.env.Go("main", func(p *sim.Proc) {
-			defer s.shutdown()
-			tc.run(t, s, p, &log)
-		})
-		s.env.Run()
+		s, log, tr := runRelease(t, tc)
 		fmt.Fprintf(&out, "== %s/%s (end %d, alive %d)\n", tc.mode, tc.name, s.env.Now(), s.env.Alive())
 		out.Write(log.Bytes())
 		logSpans(&out, tr)
 	}
 	return out.Bytes()
+}
+
+// TestDeadlineAbortDrains: after the goldens' deadline abort, in every
+// execution mode, no process is left alive and every condor span has ended.
+// The run's copies still queued in condor are removed at the abort, so no
+// event-mode watcher waits on a job that can never be matched. (The engine
+// leaves the wms attempt spans of abandoned tasks open after any abort.)
+func TestDeadlineAbortDrains(t *testing.T) {
+	for _, mode := range []string{"poll", "decentralized", "trigger"} {
+		var ran bool
+		for _, tc := range releaseCases(t, mode) {
+			if tc.name != "deadline" {
+				continue
+			}
+			ran = true
+			s, log, tr := runRelease(t, tc)
+			if !strings.Contains(log.String(), "reason=deadline") {
+				t.Fatalf("%s: the scenario did not abort on its deadline:\n%s", mode, log)
+			}
+			if n := s.env.Alive(); n != 0 {
+				t.Errorf("%s: %d processes alive after the deadline abort drained", mode, n)
+			}
+			removed := 0
+			for _, sp := range tr.Spans() {
+				if sp.Substrate() == "condor" && !sp.Ended() {
+					t.Errorf("%s: span %s/%s %v never ended", mode, sp.Substrate(), sp.Name(), sp.Labels())
+				}
+				if v, _ := sp.Label("status"); v == "removed" {
+					removed++
+				}
+			}
+			if removed == 0 {
+				t.Errorf("%s: the abort removed no queued job, so the drain check proves nothing", mode)
+			}
+		}
+		if !ran {
+			t.Fatalf("%s: no deadline scenario", mode)
+		}
+	}
 }
 
 // TestReleaseCompatGoldens pins every engine release path to the simulated
